@@ -9,8 +9,12 @@
 // message traffic, while the subgraph-centric version runs Dijkstra inside
 // each subgraph and needs ~partition-hop supersteps.
 //
-// Messages carry one double (what Pregel's SSSP/BFS use); an optional
-// min-combiner reduces traffic like Giraph's MinimumDoubleCombiner.
+// A run is the one-instance case of TemporalVertexEngine (the τ of the
+// paper's [τ, n·τ] bound for a TI-BSP port): the program runs as one
+// timestep with no instance attributes, so both engines share one superstep
+// loop, delivery exchange, recovery path and send site.
+//
+// Messages carry one double (what Pregel's SSSP/BFS use).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +24,7 @@
 
 #include "partition/partitioned_graph.h"
 #include "metrics/stats.h"
+#include "vertexcentric/ti_engine.h"
 
 namespace tsg {
 namespace vertexcentric {
@@ -33,16 +38,13 @@ class VertexProgram {
   virtual void compute(VertexContext& ctx) = 0;
 };
 
-enum class Combiner : std::uint8_t { kNone, kMin };
-
 struct VcConfig {
-  Combiner combiner = Combiner::kNone;
   std::int32_t max_supersteps = 100000;
   // Edge weights by template edge index; empty = unweighted (1.0).
   std::vector<double> edge_weights;
-  // Fault tolerance: a single BSP carries no inter-timestep state, so
-  // recovery is a restart — re-seed values via initial_value and rerun from
-  // superstep 0. This caps how many restarts a run tolerates.
+  // Fault tolerance: recovery rolls back to the run's initial cut, which
+  // re-seeds values via initial_value and reruns from superstep 0. This
+  // caps how many recoveries a run tolerates.
   std::int32_t max_recoveries = 8;
 };
 
@@ -62,40 +64,45 @@ class VertexCentricEngine {
                const std::function<double(VertexIndex)>& initial_value);
 
  private:
+  class Adapter;  // VertexProgram -> TemporalVertexProgram
+
   const PartitionedGraph& pg_;
 };
 
-// Context passed to VertexProgram::compute.
+// Context passed to VertexProgram::compute: the temporal context of the
+// one-instance run plus the value array and edge weights.
 class VertexContext {
  public:
-  [[nodiscard]] VertexIndex vertex() const { return vertex_; }
-  [[nodiscard]] std::int32_t superstep() const { return superstep_; }
-  [[nodiscard]] const GraphTemplate& graphTemplate() const { return *tmpl_; }
-
-  [[nodiscard]] double value() const { return *value_; }
-  void setValue(double v) { *value_ = v; }
-
-  [[nodiscard]] std::span<const double> messages() const { return messages_; }
-
-  [[nodiscard]] double edgeWeight(EdgeIndex e) const {
-    return edge_weights_->empty() ? 1.0 : (*edge_weights_)[e];
+  [[nodiscard]] VertexIndex vertex() const { return ctx_.vertex(); }
+  [[nodiscard]] std::int32_t superstep() const { return ctx_.superstep(); }
+  [[nodiscard]] const GraphTemplate& graphTemplate() const {
+    return ctx_.graphTemplate();
   }
 
-  void sendTo(VertexIndex dst, double value);
-  void voteToHalt() { *halted_ = 1; }
+  [[nodiscard]] double value() const { return values_[ctx_.vertex()]; }
+  void setValue(double v) { values_[ctx_.vertex()] = v; }
+
+  [[nodiscard]] std::span<const double> messages() const {
+    return ctx_.messages();
+  }
+
+  [[nodiscard]] double edgeWeight(EdgeIndex e) const {
+    return edge_weights_.empty() ? 1.0 : edge_weights_[e];
+  }
+
+  void sendTo(VertexIndex dst, double value) { ctx_.sendTo(dst, value); }
+  void voteToHalt() { ctx_.voteToHalt(); }
 
  private:
   friend class VertexCentricEngine;
-  friend struct VcWorker;
 
-  VertexIndex vertex_ = 0;
-  std::int32_t superstep_ = 0;
-  const GraphTemplate* tmpl_ = nullptr;
-  double* value_ = nullptr;
-  std::uint8_t* halted_ = nullptr;
-  std::span<const double> messages_;
-  const std::vector<double>* edge_weights_ = nullptr;
-  struct VcWorker* worker_ = nullptr;
+  VertexContext(TemporalVertexContext& ctx, double* values,
+                const std::vector<double>& edge_weights)
+      : ctx_(ctx), values_(values), edge_weights_(edge_weights) {}
+
+  TemporalVertexContext& ctx_;
+  double* values_;
+  const std::vector<double>& edge_weights_;
 };
 
 }  // namespace vertexcentric

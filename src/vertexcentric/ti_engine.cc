@@ -44,8 +44,10 @@ class CallbackWaveDriver final : public AsyncCluster::Driver {
 };
 }  // namespace
 
-// Per-partition worker state; thread-confined during a round.
-struct TvWorker {
+// Per-partition worker state; thread-confined during a round. Cache-line
+// aligned: workers sit side by side in one vector, and each one bumps its
+// send meters per message.
+struct alignas(64) TvWorker {
   const PartitionedGraph* pg = nullptr;
   const PartitionInstanceData* instance = nullptr;
   PartitionId partition = 0;
@@ -66,6 +68,32 @@ struct TvWorker {
   Timestep incoming_stamp_t = -1;
   std::int32_t incoming_stamp_s = -1;
 };
+
+namespace {
+// One superstep's record, draining every worker's meters into its row;
+// timings[p] is partition p's round (barrier) or wave-task timing.
+SuperstepRecord closeRecord(std::vector<TvWorker>& workers, Timestep t,
+                            std::int32_t s,
+                            const std::vector<Cluster::RoundTiming>& timings) {
+  SuperstepRecord rec;
+  rec.timestep = t;
+  rec.superstep = s;
+  rec.parts.resize(workers.size());
+  for (std::size_t p = 0; p < workers.size(); ++p) {
+    auto& w = workers[p];
+    auto& ps = rec.parts[p];
+    ps.send_ns = std::exchange(w.send_ns, 0);
+    ps.load_ns = std::exchange(w.load_ns, 0);
+    ps.compute_ns = std::max<std::int64_t>(
+        0, timings[p].busy_ns - ps.send_ns - ps.load_ns);
+    ps.sync_ns = timings[p].sync_ns;
+    ps.messages_sent = std::exchange(w.msgs_sent, 0);
+    ps.bytes_sent = std::exchange(w.bytes_sent, 0);
+    ps.subgraphs_computed = std::exchange(w.vertices_computed, 0);
+  }
+  return rec;
+}
+}  // namespace
 
 double TemporalVertexContext::edgeDouble(std::size_t attr,
                                          EdgeIndex e) const {
@@ -114,7 +142,10 @@ void TemporalVertexContext::sendToNextTimestep(VertexIndex dst,
 
 TemporalVertexEngine::TemporalVertexEngine(const PartitionedGraph& pg,
                                            InstanceProvider& provider)
-    : pg_(pg), provider_(provider) {}
+    : pg_(pg), provider_(&provider) {}
+
+TemporalVertexEngine::TemporalVertexEngine(const PartitionedGraph& pg)
+    : pg_(pg), provider_(nullptr) {}
 
 TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
                                            const TemporalVcConfig& config) {
@@ -125,12 +156,15 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
   const Timestep first = config.first_timestep;
   TSG_CHECK(first >= 0);
   const auto available =
-      static_cast<std::int64_t>(provider_.numInstances()) - first;
+      static_cast<std::int64_t>(
+          provider_ != nullptr ? provider_->numInstances() : 1) -
+      first;
   TSG_CHECK(available >= 0);
   const auto count = static_cast<std::int32_t>(
       config.num_timesteps < 0
           ? available
           : std::min<std::int64_t>(config.num_timesteps, available));
+  const std::int64_t delta = provider_ != nullptr ? provider_->delta() : 1;
 
   std::vector<std::uint8_t> halted(n, 0);
   std::vector<TvWorker> workers(k);
@@ -271,8 +305,10 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
             [[unlikely]] {
           throw fault::WorkerFault(p, t, fault::Site::kSliceLoad);
         }
-        w.instance = &provider_.instanceFor(p, t);
-        w.load_ns += provider_.takeLoadNs(p);
+        if (provider_ != nullptr) {
+          w.instance = &provider_->instanceFor(p, t);
+          w.load_ns += provider_->takeLoadNs(p);
+        }
       }
       const Partition& part = pg_.partition(p);
       for (const auto& msg : w.incoming) {
@@ -295,7 +331,7 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
       ctx.timestep_ = t;
       ctx.superstep_ = s;
       ctx.tmpl_ = &tmpl;
-      ctx.delta_ = provider_.delta();
+      ctx.delta_ = delta;
       ctx.worker_ = &w;
       for (std::uint32_t l = 0; l < part.vertices.size(); ++l) {
         const VertexIndex v = part.vertices[l];
@@ -440,23 +476,8 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
         const auto& timings =
             runRound([&, s](PartitionId p) { partition_job(p, s); });
 
-        SuperstepRecord rec;
-        rec.timestep = t;
-        rec.superstep = s;
-        rec.parts.resize(k);
-        for (PartitionId p = 0; p < k; ++p) {
-          auto& w = workers[p];
-          auto& ps = rec.parts[p];
-          ps.send_ns = std::exchange(w.send_ns, 0);
-          ps.load_ns = std::exchange(w.load_ns, 0);
-          ps.compute_ns = std::max<std::int64_t>(
-              0, timings[p].busy_ns - ps.send_ns - ps.load_ns);
-          ps.sync_ns = timings[p].sync_ns;
-          ps.messages_sent = std::exchange(w.msgs_sent, 0);
-          ps.bytes_sent = std::exchange(w.bytes_sent, 0);
-          ps.subgraphs_computed = std::exchange(w.vertices_computed, 0);
-        }
-        const std::uint64_t delivered = sealDelivery(std::move(rec), s);
+        const std::uint64_t delivered =
+            sealDelivery(closeRecord(workers, t, s, timings), s);
 
         const bool all_halted =
             std::all_of(halted.begin(), halted.end(),
@@ -484,8 +505,8 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
       }
       ReadyTracker tracker(static_cast<std::int32_t>(k));
       tracker.beginTimestep();
-      std::vector<std::int64_t> busy_ns(k, 0);
-      std::vector<std::int64_t> wait_ns(k, 0);
+      // Per-task timing of the current wave; zero for skipped partitions.
+      std::vector<Cluster::RoundTiming> wave_timings(k);
       auto& m_skips =
           MetricsRegistry::global().counter("cluster.barrier_skips");
       CallbackWaveDriver driver;
@@ -493,25 +514,13 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
                             const AsyncCluster::TaskInfo& info) {
         const std::int64_t cpu_start = threadCpuNowNs();
         partition_job(p, info.wave);
-        busy_ns[p] = threadCpuNowNs() - cpu_start;
-        wait_ns[p] = info.ready_wait_ns;
+        wave_timings[p] = {threadCpuNowNs() - cpu_start, info.ready_wait_ns};
       };
       driver.seal = [&](std::int32_t sw) -> std::vector<PartitionId> {
-        SuperstepRecord rec;
-        rec.timestep = t;
-        rec.superstep = sw;
-        rec.parts.resize(k);
+        SuperstepRecord rec = closeRecord(workers, t, sw, wave_timings);
+        std::fill(wave_timings.begin(), wave_timings.end(),
+                  Cluster::RoundTiming{});
         for (PartitionId p = 0; p < k; ++p) {
-          auto& w = workers[p];
-          auto& ps = rec.parts[p];
-          ps.send_ns = std::exchange(w.send_ns, 0);
-          ps.load_ns = std::exchange(w.load_ns, 0);
-          ps.compute_ns = std::max<std::int64_t>(
-              0, std::exchange(busy_ns[p], 0) - ps.send_ns - ps.load_ns);
-          ps.sync_ns = std::exchange(wait_ns[p], 0);
-          ps.messages_sent = std::exchange(w.msgs_sent, 0);
-          ps.bytes_sent = std::exchange(w.bytes_sent, 0);
-          ps.subgraphs_computed = std::exchange(w.vertices_computed, 0);
           const Partition& part = pg_.partition(p);
           tracker.recordQuiesce(
               p, std::all_of(part.vertices.begin(), part.vertices.end(),

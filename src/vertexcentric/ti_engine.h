@@ -84,6 +84,8 @@ struct TemporalVcResult {
   Timestep timesteps_executed = 0;
 };
 
+class VertexCentricEngine;  // vertexcentric/engine.h
+
 class TemporalVertexEngine {
  public:
   TemporalVertexEngine(const PartitionedGraph& pg, InstanceProvider& provider);
@@ -92,8 +94,13 @@ class TemporalVertexEngine {
                        const TemporalVcConfig& config);
 
  private:
+  // The plain vertex-centric BSP: one instance with no attributes (delta 1,
+  // no loads; edgeDouble has no instance to read).
+  friend class VertexCentricEngine;
+  explicit TemporalVertexEngine(const PartitionedGraph& pg);
+
   const PartitionedGraph& pg_;
-  InstanceProvider& provider_;
+  InstanceProvider* provider_;  // null = one attribute-free instance
 };
 
 class TemporalVertexContext {

@@ -270,8 +270,8 @@ TEST(FaultMatrix, TdspVertex) {
 
 TEST(FaultMatrix, SsspVertex) {
   RoadEnv env;
-  // The single-BSP engine recovers by restarting (no checkpoint store);
-  // the store argument is deliberately unused.
+  // The engine rolls back to its own in-memory initial cut (values
+  // re-seeded, superstep 0); the store argument is deliberately unused.
   expectEveryCellRecovers(
       [&](CheckpointStore*) {
         vertexcentric::SsspVertexProgram program(0);

@@ -142,7 +142,7 @@ std::string algoDigest(const std::string& algo, const PartitionedGraph& pg,
     d.addVector(run.finalized_at,
                 [](check::Digest& dd, Timestep t) { dd.addI64(t); });
   } else if (algo == "sssp-vertex") {
-    // Non-temporal engine: no timestep loop to stream, so the streamed
+    // Reads no instances, so there is nothing to stream: the streamed
     // path's contract is simply "identical to itself" — documented by the
     // CLI falling back to the batch run.
     vertexcentric::SsspVertexProgram program(0);

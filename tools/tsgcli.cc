@@ -982,9 +982,10 @@ Result<std::string> runAlgoDigestOn(const std::string& algo,
       dd.addI64(t);
     });
   } else if (algo == "sssp-vertex") {
-    // The plain (non-temporal) vertex-centric engine has no timestep loop
-    // and therefore no wave schedule; it always runs barriered BSP. The
-    // flag is accepted so sweeps can pass a uniform --schedule=async.
+    // The plain vertex-centric engine runs one attribute-free timestep of
+    // the temporal vertex loop and exposes no schedule, so it always runs
+    // barriered BSP. The flag is accepted so sweeps can pass a uniform
+    // --schedule=async.
     vertexcentric::SsspVertexProgram program(0);
     vertexcentric::VertexCentricEngine engine(pg);
     const auto run = engine.run(program, vertexcentric::VcConfig{},
@@ -1032,7 +1033,7 @@ Result<std::vector<stream::GraphEvent>> datasetEvents(const GofsDataset& ds) {
 
 // Streamed entry point: replays `events` through an ingest thread and the
 // bounded SealQueue; the engine blocks on each timestep's seal and skips
-// clean subgraphs incrementally. sssp-vertex has no timestep loop (nothing
+// clean subgraphs incrementally. sssp-vertex reads no instances (nothing
 // to stream), so it falls through to the batch path — harness sweeps can
 // still pass a uniform --stream.
 Result<std::string> runAlgoDigestStreamed(
