@@ -271,6 +271,16 @@ bool parensContain(const std::vector<Token>& tokens, std::size_t open,
   return false;
 }
 
+// Clock reads and the scoped meters built on them. A per-message site that
+// reads a clock pays more for its meter than for its work; meter once per
+// flush or batch instead.
+const std::set<std::string>& clockReads() {
+  static const std::set<std::string> kReads = {
+      "threadCpuNowNs", "steadyNowNs", "ScopedCpuTimer", "ScopedTimer",
+      "clock_gettime"};
+  return kReads;
+}
+
 const std::set<std::string>& nonBlockingLockTags() {
   static const std::set<std::string> kTags = {"try_to_lock", "defer_lock",
                                               "adopt_lock"};
@@ -358,6 +368,15 @@ void checkHotPath(const SourceFile& f, std::vector<Diagnostic>& out) {
         isMemberAccess(tokens, i) && i + 1 < tokens.size() &&
         isPunct(tokens[i + 1], "(")) {
       emit(f, line, "hot-path", "blocking " + t.text + "() in a tsg:hot region",
+           out);
+      continue;
+    }
+    if (clockReads().count(t.text) != 0 ||
+        (t.text == "now" && isQualified(tokens, i) && i + 1 < tokens.size() &&
+         isPunct(tokens[i + 1], "("))) {
+      emit(f, line, "hot-path",
+           "clock read (" + t.text +
+               ") in a tsg:hot region (meter once per flush, not per call)",
            out);
       continue;
     }

@@ -57,7 +57,8 @@ class ScopedTimer {
 };
 
 // Like ScopedTimer but accumulates the calling thread's CPU time; used for
-// the runtime's per-partition send/load meters (see threadCpuNowNs).
+// the per-partition instance-load meters (see threadCpuNowNs). Too costly
+// for per-message sites: sends are metered once per flush instead.
 class ScopedCpuTimer {
  public:
   explicit ScopedCpuTimer(std::int64_t& accumulator_ns)

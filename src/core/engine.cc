@@ -9,7 +9,9 @@
 #include <thread>
 #include <utility>
 
-#if defined(__GLIBC__) || defined(__linux__)
+// Not under TSan: it replaces malloc but not glibc's malloc_trim, which
+// then crashes intermittently inside the trim.
+#if (defined(__GLIBC__) || defined(__linux__)) && !defined(__SANITIZE_THREAD__)
 #include <malloc.h>
 #define TSG_HAVE_MALLOC_TRIM 1
 #endif
@@ -84,8 +86,8 @@ class WorkerState {
   std::vector<Message> next_msgs;
   std::vector<Message> merge_msgs;
 
-  // Metering accumulators, drained per superstep.
-  std::int64_t send_ns = 0;
+  // Metering accumulators, drained per superstep. Sends are buffered
+  // appends charged to compute; send_ns is the bus row's splice time.
   std::int64_t load_ns = 0;
   std::uint64_t msgs_sent = 0;
   std::uint64_t bytes_sent = 0;
@@ -211,12 +213,12 @@ std::span<const Message> SubgraphContext::messages() const {
   return state_.sg_inbox[state_.cur_local];
 }
 
+// tsg:hot — once per message; metered at the bus flush, not here.
 void SubgraphContext::sendToSubgraph(SubgraphId dst, PayloadBuffer payload) {
   auto& st = state_;
   TSG_CHECK_MSG(st.phase == ExecPhase::kCompute ||
                     st.phase == ExecPhase::kMerge,
                 "sendToSubgraph is a Compute/Merge construct");
-  ScopedCpuTimer timer(st.send_ns);
   Message msg;
   msg.src = st.cur_sg->id;
   msg.dst = dst;
@@ -233,6 +235,7 @@ void SubgraphContext::sendToNextTimestep(PayloadBuffer payload) {
   sendToSubgraphInNextTimestep(state_.cur_sg->id, std::move(payload));
 }
 
+// tsg:hot — once per carried message.
 void SubgraphContext::sendToSubgraphInNextTimestep(SubgraphId dst,
                                                    PayloadBuffer payload) {
   auto& st = state_;
@@ -240,7 +243,6 @@ void SubgraphContext::sendToSubgraphInNextTimestep(SubgraphId dst,
                 "inter-timestep messaging requires the sequentially "
                 "dependent pattern");
   TSG_CHECK(st.phase != ExecPhase::kMerge);
-  ScopedCpuTimer timer(st.send_ns);
   Message msg;
   msg.src = st.cur_sg->id;
   msg.dst = dst;
@@ -254,13 +256,13 @@ void SubgraphContext::sendToSubgraphInNextTimestep(SubgraphId dst,
   st.next_msgs.push_back(std::move(msg));
 }
 
+// tsg:hot — once per merge message.
 void SubgraphContext::sendMessageToMerge(PayloadBuffer payload) {
   auto& st = state_;
   TSG_CHECK_MSG(st.pattern_ == Pattern::kEventuallyDependent,
                 "sendMessageToMerge requires the eventually dependent "
                 "pattern");
   TSG_CHECK(st.phase != ExecPhase::kMerge);
-  ScopedCpuTimer timer(st.send_ns);
   Message msg;
   msg.src = st.cur_sg->id;
   msg.dst = st.cur_sg->id;
@@ -415,17 +417,30 @@ void distributeInbox(WorkerState& st) {
   inbox.clear();
 }
 
-// Drains per-superstep meters from a state into a stats record entry.
+// Drains per-superstep meters from a state into a stats record entry;
+// send_ns comes later, from the bus flush (deliverInto).
 void drainPartitionStats(WorkerState& st, PartitionSuperstepStats& ps,
                          const Cluster::RoundTiming& timing) {
-  ps.send_ns = std::exchange(st.send_ns, 0);
   ps.load_ns = std::exchange(st.load_ns, 0);
-  ps.compute_ns =
-      std::max<std::int64_t>(0, timing.busy_ns - ps.send_ns - ps.load_ns);
+  ps.compute_ns = std::max<std::int64_t>(0, timing.busy_ns - ps.load_ns);
   ps.sync_ns = timing.sync_ns;
   ps.messages_sent = std::exchange(st.msgs_sent, 0);
   ps.bytes_sent = std::exchange(st.bytes_sent, 0);
   ps.subgraphs_computed = std::exchange(st.subgraphs_computed, 0);
+}
+
+// The barrier flush: delivers the bus and fills rec's traffic totals and
+// each partition's send_ns (its bus row's splice time).
+MessageBus::DeliveryStats deliverInto(MessageBus& bus, SuperstepRecord& rec) {
+  const auto delivery = bus.deliver();
+  rec.delivered_messages = delivery.messages;
+  rec.delivered_bytes = delivery.bytes;
+  rec.cross_partition_messages = delivery.cross_partition_messages;
+  rec.cross_partition_bytes = delivery.cross_partition_bytes;
+  for (PartitionId p = 0; p < rec.parts.size(); ++p) {
+    rec.parts[p].send_ns = bus.rowSpliceNs(p);
+  }
+  return delivery;
 }
 
 struct TimestepOutcome {
@@ -648,11 +663,7 @@ TimestepOutcome runOneTimestep(ExecEnv& env, Timestep t,
         }
       }
     }
-    const auto delivery = env.bus.deliver();
-    rec.delivered_messages = delivery.messages;
-    rec.delivered_bytes = delivery.bytes;
-    rec.cross_partition_messages = delivery.cross_partition_messages;
-    rec.cross_partition_bytes = delivery.cross_partition_bytes;
+    const auto delivery = deliverInto(env.bus, rec);
     traceCounter("bus.delivered_messages",
                  static_cast<std::int64_t>(delivery.messages));
     traceCounter("bus.cross_partition_bytes",
@@ -799,11 +810,7 @@ void runMergePhase(ExecEnv& env, std::vector<Message> merge_pool,
                    std::all_of(st.halted.begin(), st.halted.end(),
                                [](std::uint8_t h) { return h != 0; });
     }
-    const auto delivery = env.bus.deliver();
-    rec.delivered_messages = delivery.messages;
-    rec.delivered_bytes = delivery.bytes;
-    rec.cross_partition_messages = delivery.cross_partition_messages;
-    rec.cross_partition_bytes = delivery.cross_partition_bytes;
+    const auto delivery = deliverInto(env.bus, rec);
     commitRecord(env, std::move(rec), stats_timestep);
 
     ++s;
@@ -973,11 +980,7 @@ class WaveDriver final : public AsyncCluster::Driver {
         }
       }
     }
-    const auto delivery = env_.bus.deliver();
-    rec.delivered_messages = delivery.messages;
-    rec.delivered_bytes = delivery.bytes;
-    rec.cross_partition_messages = delivery.cross_partition_messages;
-    rec.cross_partition_bytes = delivery.cross_partition_bytes;
+    const auto delivery = deliverInto(env_.bus, rec);
     if (!is_merge_) {
       traceCounter("bus.delivered_messages",
                    static_cast<std::int64_t>(delivery.messages));
@@ -1377,7 +1380,6 @@ TiBspResult TiBspEngine::run(const ProgramFactory& factory,
           for (auto& q : st.sg_inbox) {
             q.clear();
           }
-          st.send_ns = 0;
           st.load_ns = 0;
           st.msgs_sent = 0;
           st.bytes_sent = 0;

@@ -4,6 +4,7 @@
 
 #include "check/bsp_checker.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "common/trace.h"
 
 namespace tsg {
@@ -118,6 +119,11 @@ MessageBus::DeliveryStats MessageBus::deliver() {
   std::uint64_t batches = 0;
   for (PartitionId from = 0; from < rows_.size(); ++from) {
     auto& row = rows_[from];
+    row.splice_ns = 0;
+    if (row.pending == 0) {
+      continue;
+    }
+    const std::int64_t splice_start = steadyNowNs();
     for (PartitionId to = 0; to < row.boxes.size(); ++to) {
       auto& box = row.boxes[to];
       if (box.empty()) {
@@ -142,6 +148,7 @@ MessageBus::DeliveryStats MessageBus::deliver() {
     stats.cross_partition_bytes += row.stats.cross_partition_bytes;
     row.stats = DeliveryStats{};
     row.pending = 0;
+    row.splice_ns = steadyNowNs() - splice_start;
   }
   m_messages_.add(stats.messages);
   m_bytes_.add(stats.bytes);
@@ -160,6 +167,11 @@ MessageBus::DeliveryStats MessageBus::deliver() {
                         leftover_flow);
   }
   return stats;
+}
+
+std::int64_t MessageBus::rowSpliceNs(PartitionId from) const {
+  TSG_CHECK(from < rows_.size());
+  return rows_[from].splice_ns;
 }
 
 MessageBus::Inbox& MessageBus::inbox(PartitionId p) {

@@ -107,6 +107,11 @@ class MessageBus {
   // dropped (the engine has already consumed or abandoned it).
   DeliveryStats deliver();
 
+  // Steady-clock time the last deliver() spent splicing sender row `from`
+  // into the inboxes: the row's send cost, metered once per flush (0 for a
+  // row with nothing to splice).
+  [[nodiscard]] std::int64_t rowSpliceNs(PartitionId from) const;
+
   // Worker p's inbox for the current superstep (valid until next deliver()).
   [[nodiscard]] Inbox& inbox(PartitionId p);
 
@@ -140,6 +145,7 @@ class MessageBus {
     std::vector<std::uint64_t> flow_ids;
     DeliveryStats stats;
     std::uint64_t pending = 0;
+    std::int64_t splice_ns = 0;  // set by the last deliver()
   };
 
   std::vector<Message> takeSpare();

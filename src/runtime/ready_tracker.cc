@@ -18,12 +18,12 @@ void ReadyTracker::beginTimestep() {
 }
 
 void ReadyTracker::recordDelivery(PartitionId to, std::uint64_t messages) {
-  TSG_CHECK(to >= 0 && to < num_partitions_);
+  TSG_CHECK(to < static_cast<PartitionId>(num_partitions_));
   pending_[static_cast<std::size_t>(to)] += messages;
 }
 
 void ReadyTracker::recordQuiesce(PartitionId p, bool halted) {
-  TSG_CHECK(p >= 0 && p < num_partitions_);
+  TSG_CHECK(p < static_cast<PartitionId>(num_partitions_));
   halted_[static_cast<std::size_t>(p)] = halted ? 1 : 0;
 }
 
@@ -54,7 +54,7 @@ bool ReadyTracker::terminated() const {
 }
 
 std::uint64_t ReadyTracker::pendingMessages(PartitionId p) const {
-  TSG_CHECK(p >= 0 && p < num_partitions_);
+  TSG_CHECK(p < static_cast<PartitionId>(num_partitions_));
   return pending_[static_cast<std::size_t>(p)];
 }
 

@@ -46,7 +46,7 @@ class CallbackWaveDriver final : public AsyncCluster::Driver {
 
 // Per-partition worker state; thread-confined during a round. Cache-line
 // aligned: workers sit side by side in one vector, and each one bumps its
-// send meters per message.
+// traffic counters per message.
 struct alignas(64) TvWorker {
   const PartitionedGraph* pg = nullptr;
   const PartitionInstanceData* instance = nullptr;
@@ -56,7 +56,9 @@ struct alignas(64) TvWorker {
   std::vector<TvMessage> next_timestep;  // deferred to t+1
   std::vector<std::vector<double>> vertex_msgs;  // by local vertex index
   std::vector<std::uint8_t> has_msgs;
-  std::int64_t send_ns = 0;
+  // Vertices this worker's last round left unhalted; a skipped (wave)
+  // partition keeps its 0 from the round that quiesced it.
+  std::uint64_t unhalted = 0;
   std::int64_t load_ns = 0;
   std::uint64_t msgs_sent = 0;
   std::uint64_t bytes_sent = 0;
@@ -71,7 +73,9 @@ struct alignas(64) TvWorker {
 
 namespace {
 // One superstep's record, draining every worker's meters into its row;
-// timings[p] is partition p's round (barrier) or wave-task timing.
+// timings[p] is partition p's round (barrier) or wave-task timing. Sends are
+// buffered appends charged to compute; send_ns is filled in by the flush
+// (sealDelivery).
 SuperstepRecord closeRecord(std::vector<TvWorker>& workers, Timestep t,
                             std::int32_t s,
                             const std::vector<Cluster::RoundTiming>& timings) {
@@ -82,10 +86,9 @@ SuperstepRecord closeRecord(std::vector<TvWorker>& workers, Timestep t,
   for (std::size_t p = 0; p < workers.size(); ++p) {
     auto& w = workers[p];
     auto& ps = rec.parts[p];
-    ps.send_ns = std::exchange(w.send_ns, 0);
     ps.load_ns = std::exchange(w.load_ns, 0);
-    ps.compute_ns = std::max<std::int64_t>(
-        0, timings[p].busy_ns - ps.send_ns - ps.load_ns);
+    ps.compute_ns =
+        std::max<std::int64_t>(0, timings[p].busy_ns - ps.load_ns);
     ps.sync_ns = timings[p].sync_ns;
     ps.messages_sent = std::exchange(w.msgs_sent, 0);
     ps.bytes_sent = std::exchange(w.bytes_sent, 0);
@@ -106,9 +109,9 @@ double TemporalVertexContext::edgeDouble(std::size_t attr,
       .asDouble()[worker.pg->localIndexOfEdge(e)];
 }
 
+// tsg:hot — once per message; a buffered append, metered at the flush.
 void TemporalVertexContext::sendTo(VertexIndex dst, double value) {
   auto& worker = *worker_;
-  ScopedCpuTimer timer(worker.send_ns);
   const PartitionId to = worker.pg->partitionOfVertex(dst);
   if (worker.checker != nullptr) {
     worker.checker->onSend(worker.partition, to, sizeof(TvMessage));
@@ -123,10 +126,10 @@ void TemporalVertexContext::sendTo(VertexIndex dst, double value) {
   }
 }
 
+// tsg:hot — once per carried message.
 void TemporalVertexContext::sendToNextTimestep(VertexIndex dst,
                                                double value) {
   auto& worker = *worker_;
-  ScopedCpuTimer timer(worker.send_ns);
   // Deliberately not reported to the protocol checker here: this is the
   // carried (inter-timestep) channel. The checker accounts for it as an
   // injection when the coordinator seeds it before t+1's superstep 0.
@@ -311,6 +314,7 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
         }
       }
       const Partition& part = pg_.partition(p);
+      w.unhalted = 0;
       for (const auto& msg : w.incoming) {
         const std::uint32_t local = pg_.localIndexOfVertex(msg.dst);
         w.vertex_msgs[local].push_back(msg.value);
@@ -361,6 +365,9 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
           program.compute(ctx);
         }
         ++w.vertices_computed;
+        if (halted[v] == 0) {
+          ++w.unhalted;
+        }
         w.vertex_msgs[l].clear();
         w.has_msgs[l] = 0;
       }
@@ -376,7 +383,9 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
 
     // Delivery, checker accounting, vc.* metrics and the record commit —
     // shared between the barrier and the wave seal. Takes rec with its
-    // parts[] timing rows already filled; returns the delivered count.
+    // parts[] timing rows already filled, and fills each row's send_ns with
+    // the steady time spent flushing that partition's k outboxes (0 for a
+    // row with nothing to flush); returns the delivered count.
     // Throws RecoveryNeeded on an injected drop (rec is discarded: the
     // exchange never happened).
     const auto sealDelivery = [&, t](SuperstepRecord rec,
@@ -404,12 +413,14 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
       auto& h_batch = registry.histogram("vc.batch_messages");
       std::uint64_t delivered = 0;
       for (PartitionId p = 0; p < k; ++p) {
+        const std::int64_t flush_start = steadyNowNs();
+        std::uint64_t flushed = 0;
         for (PartitionId q = 0; q < k; ++q) {
           auto& box = workers[p].outbox[q];
           if (!box.empty()) {
             h_batch.record(box.size());
           }
-          delivered += box.size();
+          flushed += box.size();
           rec.delivered_bytes += box.size() * sizeof(TvMessage);
           if (p != q) {
             rec.cross_partition_messages += box.size();
@@ -426,6 +437,10 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
             box.clear();
           }
         }
+        if (flushed != 0) {
+          rec.parts[p].send_ns = steadyNowNs() - flush_start;
+        }
+        delivered += flushed;
       }
       rec.delivered_messages = delivered;
       if (checker != nullptr) {
@@ -480,8 +495,8 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
             sealDelivery(closeRecord(workers, t, s, timings), s);
 
         const bool all_halted =
-            std::all_of(halted.begin(), halted.end(),
-                        [](std::uint8_t h) { return h != 0; });
+            std::all_of(workers.begin(), workers.end(),
+                        [](const TvWorker& w) { return w.unhalted == 0; });
         ++s;
         if (all_halted && delivered == 0) {
           break;
@@ -521,10 +536,7 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
         std::fill(wave_timings.begin(), wave_timings.end(),
                   Cluster::RoundTiming{});
         for (PartitionId p = 0; p < k; ++p) {
-          const Partition& part = pg_.partition(p);
-          tracker.recordQuiesce(
-              p, std::all_of(part.vertices.begin(), part.vertices.end(),
-                             [&](VertexIndex v) { return halted[v] != 0; }));
+          tracker.recordQuiesce(p, workers[p].unhalted == 0);
         }
         sealDelivery(std::move(rec), sw);
         s = sw + 1;
@@ -653,7 +665,6 @@ TemporalVcResult TemporalVertexEngine::run(TemporalVertexProgram& program,
           msgs.clear();
         }
         std::fill(w.has_msgs.begin(), w.has_msgs.end(), 0);
-        w.send_ns = 0;
         w.load_ns = 0;
         w.msgs_sent = 0;
         w.bytes_sent = 0;

@@ -38,7 +38,7 @@ TEST(Cluster, TimingsMeasureBusyAndSync) {
       const auto start = std::chrono::steady_clock::now();
       while (std::chrono::steady_clock::now() - start <
              std::chrono::milliseconds(20)) {
-        sink += 1;
+        sink = sink + 1;
       }
     }
   });

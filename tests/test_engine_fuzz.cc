@@ -90,10 +90,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("road", "social"),
                        ::testing::Values(1u, 3u, 5u),
                        ::testing::Values(11, 29)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return std::get<0>(param_info.param) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 TEST(EngineFuzz, InterTimestepMessagesConserved) {

@@ -44,10 +44,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u, 4u),
                        ::testing::Values(TemporalMode::kSerial,
                                          TemporalMode::kConcurrent)),
-    [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) == TemporalMode::kSerial ? "_serial"
+    [](const auto& param_info) {
+      return "n" + std::to_string(std::get<0>(param_info.param)) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) +
+             (std::get<2>(param_info.param) == TemporalMode::kSerial ? "_serial"
                                                                : "_conc");
     });
 

@@ -117,11 +117,11 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, MemeProperty,
     ::testing::Combine(::testing::Values(40, 120), ::testing::Values(1u, 3u),
                        ::testing::Values(3, 17), ::testing::Values(0.1, 0.5)),
-    [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param)) + "_h" +
-             std::to_string(static_cast<int>(std::get<3>(info.param) * 10));
+    [](const auto& param_info) {
+      return "n" + std::to_string(std::get<0>(param_info.param)) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param)) + "_h" +
+             std::to_string(static_cast<int>(std::get<3>(param_info.param) * 10));
     });
 
 TEST(Meme, ColoredCounterMatchesTotalColored) {

@@ -55,10 +55,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, VertexTdspProperty,
     ::testing::Combine(::testing::Values(5, 8), ::testing::Values(1u, 3u),
                        ::testing::Values(4, 19)),
-    [](const auto& info) {
-      return "g" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return "g" + std::to_string(std::get<0>(param_info.param)) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) + "_s" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 TEST(VertexTdsp, AgreesWithSubgraphCentricAndCostsMoreSupersteps) {

@@ -257,6 +257,19 @@ TEST(Fixtures, HotPathTripsExactlyItsRule) {
   EXPECT_EQ(out.size(), 2u);
 }
 
+TEST(Fixtures, HotPathFlagsClockReadsOnlyInHotRegions) {
+  const auto out =
+      runFilePasses("src/fixture/hot_clock.cc", readFixture("hot_clock.cc"));
+  EXPECT_EQ(rulesIn(out), std::set<std::string>{"hot-path"});
+  ASSERT_EQ(out.size(), 2u);
+  // Both from the tsg:hot function; the cold function's reads pass.
+  EXPECT_EQ(out[0].line, 15);
+  EXPECT_EQ(out[1].line, 16);
+  EXPECT_NE(out[0].message.find("clock read (ScopedCpuTimer)"),
+            std::string::npos);
+  EXPECT_NE(out[1].message.find("clock read (now)"), std::string::npos);
+}
+
 TEST(Fixtures, AtomicsTripsExactlyItsRule) {
   const auto out =
       runFilePasses("src/fixture/atomics.cc", readFixture("atomics.cc"));

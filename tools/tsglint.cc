@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
     }
   }
   if (options.root.empty()) {
-    options.root = ".";
+    // Not `= "."`: GCC 12 reports a false -Wrestrict on that assignment.
+    options.root = std::string(".");
   }
   if (paths.empty()) {
     paths = {"src", "tools", "tests", "bench"};
